@@ -239,10 +239,18 @@ class ExecutorLadder:
             submit = process_submit
         hard_shutdown = False
         try:
-            futures: dict[int, Future] = {
-                index: submit(pool, index, attempt) for index in pending
-            }
-            failures = self._collect(futures, results, budget)
+            futures: dict[int, Future] = {}
+            unsubmitted: list[tuple[int, BaseException]] = []
+            for position, index in enumerate(pending):
+                try:
+                    futures[index] = submit(pool, index, attempt)
+                except BrokenExecutor as error:
+                    # a worker died before every task was handed out: the
+                    # pool is unusable, so the rest of the attempt fails too
+                    obs.count("ladder.worker_crashes")
+                    unsubmitted = [(rest, error) for rest in pending[position:]]
+                    break
+            failures = self._collect(futures, results, budget) + unsubmitted
             hard_shutdown = bool(failures)
             return failures
         except BaseException:

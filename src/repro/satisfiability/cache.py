@@ -174,6 +174,8 @@ class SatCache:
     def put_type(self, verdict: "TypeSatisfiability") -> None:
         if verdict.tableau_satisfiable is None:
             return  # UNKNOWN: a bigger budget deserves a fresh attempt
+        if verdict.type_name in self._types:
+            return  # first verdict wins; skip the copy setdefault would drop
         with self._lock:
             self._types.setdefault(
                 verdict.type_name, replace(verdict, bounded=None)

@@ -480,6 +480,16 @@ class SatisfiabilityChecker:
                         object_type, self._fresh_budget(budget)
                     )
                 return cached
+        return self._decide_type(object_type, find_witness, budget)
+
+    def _decide_type(
+        self,
+        object_type: str,
+        find_witness: bool,
+        budget: "Budget | None",
+    ) -> TypeSatisfiability:
+        """:meth:`check_type` after a cache miss: lint, analysis, tableau."""
+        cache = self.cache
         if self.lint_precheck:
             diagnostic = self.lint_verdict(object_type)
             if diagnostic is not None:
@@ -535,6 +545,13 @@ class SatisfiabilityChecker:
             cached = cache.get_bounded(object_type, self.bounded_max_nodes)
             if cached is not None:
                 return cached
+        return self._find_bounded(object_type, budget)
+
+    def _find_bounded(
+        self, object_type: str, budget: "Budget | None"
+    ) -> BoundedSearchResult:
+        """:meth:`_bounded_result` after a cache miss: search and memoize."""
+        cache = self.cache
         result = self._finder.find_model(
             object_type, self.bounded_max_nodes, budget=budget
         )
@@ -575,6 +592,18 @@ class SatisfiabilityChecker:
             cached = cache.get_field(key)
             if cached is not None:
                 return cached
+        return self._decide_field(type_name, field_name, field_def.type.base, budget)
+
+    def _decide_field(
+        self,
+        type_name: str,
+        field_name: str,
+        base: str,
+        budget: "Budget | None",
+    ) -> bool | None:
+        """:meth:`check_field` after a cache miss: lint, analysis, tableau."""
+        key = (type_name, field_name)
+        cache = self.cache
         if self.lint_precheck and self.schema.is_object_type(type_name):
             if self.lint_verdict(type_name) is not None:
                 if cache is not None:
@@ -588,7 +617,7 @@ class SatisfiabilityChecker:
                 if cache is not None:
                     cache.put_field(key, analysis)
                 return analysis
-        concept = self._field_concept(type_name, field_name, field_def.type.base)
+        concept = self._field_concept(type_name, field_name, base)
         try:
             verdict = self.tableau.is_satisfiable(
                 concept, budget=self._fresh_budget(budget)

@@ -25,10 +25,14 @@ tableau search at a time.  This module turns the sweep into a portfolio:
   a found witness decides the type and all batched fields at once.  A
   bounded *failure* is never decisive (finite search below a bound refutes
   nothing), so racing cannot change a verdict -- only ``decided_by``.
-* **Caching.**  Every decided verdict flows through the checker's
-  :class:`~repro.satisfiability.cache.SatCache`; process-worker results are
+* **Caching.**  Before an executor is chosen, the parent looks up every
+  unit's elements in the checker's
+  :class:`~repro.satisfiability.cache.SatCache` (each lookup once per run).
+  A unit whose verdicts are all cached is settled there; only the *open*
+  units are scheduled, together with the verdicts the parent already found
+  for them, so workers never consult the cache.  Their results are
   absorbed into the parent's cache on merge, so a repeat ``check_schema``
-  over the same schema replays from memory.
+  over the same schema replays from memory and never starts a pool.
 
 Verdict soundness of the batch decomposition: the batch concept is the
 conjunction of the type concept and each field concept, so batch-SAT
@@ -41,7 +45,7 @@ UNKNOWNs match the serial engine's.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .. import obs
@@ -129,6 +133,61 @@ def build_units(schema: "GraphQLSchema") -> list[SatUnit]:
 
 
 # --------------------------------------------------------------------------- #
+# the cache lookup (always in the parent, before an executor is chosen)
+# --------------------------------------------------------------------------- #
+
+
+def _lookup_unit(
+    checker: SatisfiabilityChecker, unit: SatUnit, find_witnesses: bool
+) -> UnitResult:
+    """The unit's cached verdicts, as a possibly partial :class:`UnitResult`.
+
+    Every element is looked up once, with a ``"cache"`` win per hit.  With
+    ``find_witnesses`` a cached SAT type also needs its cached bounded
+    result; ``_is_settled`` tells whether the result is complete.
+    """
+    cached = UnitResult(unit.index, None, {})
+    cache = checker.cache
+    if cache is None:
+        return cached
+    hits = 0
+    for field_name, _base in unit.fields:
+        key = (unit.declaring, field_name)
+        verdict = cache.get_field(key)
+        if verdict is not None:
+            cached.fields[key] = verdict
+            hits += 1
+    if unit.type_name is not None:
+        type_verdict = cache.get_type(unit.type_name)
+        if type_verdict is not None:
+            if find_witnesses and type_verdict.tableau_satisfiable:
+                type_verdict.bounded = cache.get_bounded(
+                    unit.type_name, checker.bounded_max_nodes
+                )
+            cached.type_verdict = type_verdict
+            hits += 1
+    if hits:
+        cached.wins["cache"] = hits
+    return cached
+
+
+def _is_settled(unit: SatUnit, cached: UnitResult, find_witnesses: bool) -> bool:
+    """Whether *cached* answers every element of *unit* (no search needed)."""
+    if len(cached.fields) < len(unit.fields):
+        return False
+    if unit.type_name is None:
+        return True
+    verdict = cached.type_verdict
+    return verdict is not None and not _needs_bounded(verdict, find_witnesses)
+
+
+def _needs_bounded(verdict: TypeSatisfiability, find_witnesses: bool) -> bool:
+    return bool(
+        find_witnesses and verdict.tableau_satisfiable and verdict.bounded is None
+    )
+
+
+# --------------------------------------------------------------------------- #
 # the per-unit kernel (runs on any rung: inline, thread, or worker process)
 # --------------------------------------------------------------------------- #
 
@@ -139,15 +198,23 @@ def check_unit(
     *,
     find_witnesses: bool = False,
     race: bool = False,
+    cached: UnitResult | None = None,
 ) -> UnitResult:
-    """Decide one unit: cache → lint → batch concept → staged fallback."""
+    """Decide one unit: cache → lint → batch concept → staged fallback.
+
+    ``cached`` is the unit's ``_lookup_unit`` result when the caller
+    already consulted the cache; the kernel then trusts it and looks
+    nothing up again.  Without it the kernel does the lookup itself.
+    """
     with obs.span(
         "sat.unit",
         unit=unit.index,
         declaring=unit.declaring,
         fields=len(unit.fields),
     ):
-        return _check_unit(checker, unit, find_witnesses, race)
+        if cached is None:
+            cached = _lookup_unit(checker, unit, find_witnesses)
+        return _check_unit(checker, unit, find_witnesses, race, cached)
 
 
 def _check_unit(
@@ -155,55 +222,49 @@ def _check_unit(
     unit: SatUnit,
     find_witnesses: bool,
     race: bool,
+    cached: UnitResult,
 ) -> UnitResult:
-    wins: dict[str, int] = {}
+    # copies: a retried attempt must start again from the same lookup
+    wins = dict(cached.wins)
 
     def win(engine: str) -> None:
         wins[engine] = wins.get(engine, 0) + 1
 
     cache = checker.cache
-    fields: dict[tuple[str, str], bool | None] = {}
-    pending: list[tuple[str, str]] = []
-    for field_name, base in unit.fields:
-        key = (unit.declaring, field_name)
-        if cache is not None:
-            cached = cache.get_field(key)
-            if cached is not None:
-                fields[key] = cached
-                win("cache")
-                continue
-        pending.append((field_name, base))
+    fields = dict(cached.fields)
+    pending = [
+        (field_name, base)
+        for field_name, base in unit.fields
+        if (unit.declaring, field_name) not in fields
+    ]
 
-    type_verdict: TypeSatisfiability | None = None
-    if unit.type_name is not None:
-        if cache is not None:
-            cached_type = cache.get_type(unit.type_name)
-            if cached_type is not None:
-                if find_witnesses and cached_type.tableau_satisfiable:
-                    cached_type.bounded = checker._bounded_result(
-                        unit.type_name, checker._fresh_budget(None)
-                    )
-                type_verdict = cached_type
-                win("cache")
-        if type_verdict is None and checker.lint_precheck:
-            diagnostic = checker.lint_verdict(unit.type_name)
-            if diagnostic is not None:
-                type_verdict = TypeSatisfiability(
-                    unit.type_name,
-                    tableau_satisfiable=False,
-                    decided_by="lint",
-                    diagnostic=diagnostic,
-                )
-                win("lint")
+    type_verdict = cached.type_verdict
+    if type_verdict is not None:
+        type_verdict = replace(type_verdict)
+        if _needs_bounded(type_verdict, find_witnesses):
+            # the lookup already missed the bounded result: search directly
+            type_verdict.bounded = checker._find_bounded(
+                type_verdict.type_name, checker._fresh_budget(None)
+            )
+    if unit.type_name is not None and type_verdict is None and checker.lint_precheck:
+        diagnostic = checker.lint_verdict(unit.type_name)
+        if diagnostic is not None:
+            type_verdict = TypeSatisfiability(
+                unit.type_name,
+                tableau_satisfiable=False,
+                decided_by="lint",
+                diagnostic=diagnostic,
+            )
+            win("lint")
+            if cache is not None:
+                cache.put_type(type_verdict)
+            # a dead declaring type makes every edge definition dead too
+            for field_name, _base in pending:
+                key = (unit.declaring, field_name)
+                fields[key] = False
                 if cache is not None:
-                    cache.put_type(type_verdict)
-                # a dead declaring type makes every edge definition dead too
-                for field_name, _base in pending:
-                    key = (unit.declaring, field_name)
-                    fields[key] = False
-                    if cache is not None:
-                        cache.put_field(key, False)
-                pending = []
+                    cache.put_field(key, False)
+            pending = []
 
     # the dataflow-analysis pre-verdict feed: drain elements the fixpoints
     # proved, so the batch concept only carries genuinely open questions.
@@ -311,15 +372,18 @@ def _decide_batch(
     # batch UNSAT with fields in it, or budget-tripped batch: stage down to
     # the serial per-element procedure (fresh budget renewals per element),
     # which reproduces the serial engine's verdicts exactly.
+    # (The unit's cache lookup has already missed, so these go straight to
+    # the deciding half of check_type/check_field.)
     if need_type:
-        type_verdict = checker.check_type(unit.type_name, find_witness=find_witnesses)
+        with obs.span("sat.check_type", type=unit.type_name):
+            type_verdict = checker._decide_type(unit.type_name, find_witnesses, None)
         win(type_verdict.decided_by)
     type_unsat = (
         unit.type_name is not None
         and type_verdict is not None
         and type_verdict.tableau_satisfiable is False
     )
-    for field_name, _base in pending:
+    for field_name, base in pending:
         key = (unit.declaring, field_name)
         if type_unsat:
             # t ⊓ ∃f.B is subsumed by the unsatisfiable t: False without a
@@ -328,7 +392,7 @@ def _decide_batch(
             if cache is not None:
                 cache.put_field(key, False)
         else:
-            fields[key] = checker.check_field(unit.declaring, field_name)
+            fields[key] = checker._decide_field(unit.declaring, field_name, base, None)
         win("tableau" if fields[key] is not None else "budget")
     return type_verdict
 
@@ -407,6 +471,7 @@ def _race_batch(
 def _thread_check(
     checker: SatisfiabilityChecker,
     unit: SatUnit,
+    cached: UnitResult,
     find_witnesses: bool,
     race: bool,
     attempt: int,
@@ -414,7 +479,9 @@ def _thread_check(
     faults.fault_point(
         "portfolio.worker", unit=unit.index, attempt=attempt, executor="thread"
     )
-    return check_unit(checker, unit, find_witnesses=find_witnesses, race=race)
+    return check_unit(
+        checker, unit, find_witnesses=find_witnesses, race=race, cached=cached
+    )
 
 
 _WORKER_CHECKER: "SatisfiabilityChecker | None" = None
@@ -451,13 +518,17 @@ def _worker_init(
 
 
 def _process_check(payload: tuple) -> "UnitResult | obs.TracedResult":
-    unit, find_witnesses, race, attempt = payload
+    unit, cached, find_witnesses, race, attempt = payload
     faults.fault_point(
         "portfolio.worker", unit=unit.index, attempt=attempt, executor="process"
     )
     assert _WORKER_CHECKER is not None
     result = check_unit(
-        _WORKER_CHECKER, unit, find_witnesses=find_witnesses, race=race
+        _WORKER_CHECKER,
+        unit,
+        find_witnesses=find_witnesses,
+        race=race,
+        cached=cached,
     )
     return obs.package(result)
 
@@ -501,8 +572,17 @@ def run_portfolio(
     if jobs is None:
         jobs = usable_cores()
     jobs = max(1, jobs)
-    mode = _choose_executor(executor, jobs, len(units))
+    # settle fully cached units here, so the executor is chosen for (and
+    # workers only ever see) the units that still need a decision
+    looked_up = [_lookup_unit(checker, unit, find_witnesses) for unit in units]
     results: "list[UnitResult | None]" = [None] * len(units)
+    open_units: list[int] = []
+    for unit, cached in zip(units, looked_up):
+        if _is_settled(unit, cached, find_witnesses):
+            results[unit.index] = cached
+        else:
+            open_units.append(unit.index)
+    mode = _choose_executor(executor, jobs, len(open_units))
     ladder = ExecutorLadder(
         jobs=jobs,
         max_retries=max_retries,
@@ -519,16 +599,29 @@ def run_portfolio(
             "portfolio.worker", unit=index, attempt=attempt, executor="serial"
         )
         return check_unit(
-            checker, units[index], find_witnesses=find_witnesses, race=race
+            checker,
+            units[index],
+            find_witnesses=find_witnesses,
+            race=race,
+            cached=looked_up[index],
         )
 
     def thread_submit(pool, index, attempt):
         return pool.submit(
-            _thread_check, checker, units[index], find_witnesses, race, attempt
+            _thread_check,
+            checker,
+            units[index],
+            looked_up[index],
+            find_witnesses,
+            race,
+            attempt,
         )
 
     def process_submit(pool, index, attempt):
-        return pool.submit(_process_check, (units[index], find_witnesses, race, attempt))
+        return pool.submit(
+            _process_check,
+            (units[index], looked_up[index], find_witnesses, race, attempt),
+        )
 
     def make_process_pool(workers: int) -> ProcessPoolExecutor:
         config = (
@@ -550,7 +643,7 @@ def run_portfolio(
     ):
         ladder.run(
             mode,
-            range(len(units)),
+            open_units,
             results,
             serial=serial,
             thread_submit=thread_submit,
@@ -582,8 +675,9 @@ def _merge(
 ) -> tuple[SchemaSatisfiabilityReport, dict[str, int]]:
     """Deterministic merge into canonical report order + cache absorption.
 
-    Results computed in worker processes never touched the parent cache, so
-    their verdicts are absorbed here (race-found bounded witnesses are not:
+    Units settled from the cache in the parent are merged as they are.
+    Open units decided in worker processes never touched the parent cache,
+    so their verdicts are absorbed here (race-found bounded witnesses are not:
     a ``require_fields`` search may find a different witness than the plain
     one, and the cache must replay exactly what uncached runs compute).
     """

@@ -246,6 +246,36 @@ class TestFaultPlans:
         faults.fault_point("anywhere", shard=3)  # must not raise
 
 
+class TestExecutorLadder:
+    def test_pool_broken_during_submission_is_retried(self):
+        """A worker can die while later tasks are still being submitted;
+        the submit call itself then raises, and that is a crash to recover
+        from, for the task and for every task not yet handed out."""
+        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.resilience.ladder import ExecutorLadder
+
+        def process_submit(pool, index, attempt):
+            if attempt == 0 and index == 1:
+                raise BrokenProcessPool("a worker died mid-submission")
+            return pool.submit(lambda: index * 10)
+
+        ladder = ExecutorLadder(jobs=2, retry_base_delay=0.0, log_key="unit")
+        results = [None] * 3
+        ladder.run(
+            "process",
+            [0, 1, 2],
+            results,
+            serial=lambda index, attempt: index * 10,
+            process_submit=process_submit,
+            make_process_pool=lambda workers: ThreadPoolExecutor(workers),
+        )
+        assert results == [0, 10, 20]
+        assert [entry["unit"] for entry in ladder.recovery_log] == [1, 2]
+        assert all(entry["executor"] == "process" for entry in ladder.recovery_log)
+
+
 # --------------------------------------------------------------------------- #
 # budgeted decision procedures
 # --------------------------------------------------------------------------- #

@@ -202,6 +202,63 @@ def test_cache_shared_across_checker_instances():
     assert second.last_profile["wins"].get("cache", 0) > 0
 
 
+def test_warm_check_schema_settles_in_parent_without_a_pool(monkeypatch):
+    """A fully cached sweep is answered in the parent even where "auto"
+    would fan a cold sweep out over processes: no pool is built, each
+    element is one parent-side hit, and the report matches serial's."""
+    from repro.satisfiability import portfolio
+
+    schema = load("library")
+    cache = SatCache(schema)
+    expected = _dump(SatisfiabilityChecker(schema, cache=cache).check_schema())
+    monkeypatch.setattr(portfolio, "usable_cores", lambda: 2)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a warm check_schema started a process pool")
+
+    monkeypatch.setattr(portfolio, "ProcessPoolExecutor", no_pool)
+    hits_before = cache.cache_info()["hits"]
+    checker = SatisfiabilityChecker(schema, cache=cache)
+    report = checker.check_schema(find_witnesses=False)
+    elements = len(report.types) + len(report.fields)
+    assert _dump(report) == expected
+    assert checker.last_profile["executor"] != "process"
+    assert cache.cache_info()["hits"] - hits_before == elements
+    assert checker.last_profile["wins"] == {"cache": elements}
+
+
+@pytest.mark.parametrize("name", ["library", "example_6_1_a", "diagram_c"])
+def test_each_cache_lookup_counted_once_per_run(name):
+    """The staged per-element fallback must not look an element up again
+    after the unit's lookup missed (lint and analysis off to reach it)."""
+    schema = load(name)
+    cache = SatCache(schema)
+    checker = SatisfiabilityChecker(
+        schema, cache=cache, lint_precheck=False, analysis_precheck=False
+    )
+    report = checker.check_schema(jobs=1)
+    info = cache.cache_info()
+    assert info["hits"] == 0
+    assert info["misses"] == len(report.types) + len(report.fields)
+
+
+def test_partially_cached_units_reuse_the_parent_lookup():
+    schema = load("library")
+    cache = SatCache(schema)
+    warm = SatisfiabilityChecker(schema, cache=cache)
+    for type_name in sorted(schema.object_types):
+        warm.check_type(type_name, find_witness=False)
+    before = cache.cache_info()
+    checker = SatisfiabilityChecker(schema, cache=cache)
+    report = checker.check_schema(jobs=2)
+    after = cache.cache_info()
+    assert after["hits"] - before["hits"] == len(report.types)
+    assert after["misses"] - before["misses"] == len(report.fields)
+    assert checker.last_profile["wins"]["cache"] == len(report.types)
+    expected = SatisfiabilityChecker(schema, cache=False).check_schema(engine="serial")
+    assert _dump(report) == _dump(expected)
+
+
 def test_unknown_verdicts_are_never_cached():
     schema = parse_schema("type A { b: B @required }\ntype B { a: A @required }")
     cache = SatCache(schema)

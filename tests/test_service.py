@@ -369,6 +369,33 @@ class TestHttpService:
         assert tenants["acme"]["warm_plan_hits"] >= 1
         assert "service.coalesce_ratio" in stats["gauges"]
 
+    def test_warm_sat_answered_from_the_version_cache(self, service, monkeypatch):
+        """A repeat /v1/sat is served from the version's pinned SatCache in
+        the handler's own thread, even where "auto" would pick processes."""
+        from repro.satisfiability import SatisfiabilityChecker, portfolio
+
+        monkeypatch.setattr(portfolio, "usable_cores", lambda: 2)
+        profiles: list[dict] = []
+        check_schema = SatisfiabilityChecker.check_schema
+
+        def spy(self, *args, **kwargs):
+            report = check_schema(self, *args, **kwargs)
+            profiles.append(self.last_profile)
+            return report
+
+        monkeypatch.setattr(SatisfiabilityChecker, "check_schema", spy)
+        client, thread = service
+        client.register("acme", "users", SDL)
+        record = thread.service.registry.get("acme", "users")
+        _status, cold = client.sat("acme", "users")
+        hits_before = record.sat_cache.cache_info()["hits"]
+        status, warm = client.sat("acme", "users")
+        assert status == 200 and warm["report"] == cold["report"]
+        elements = len(warm["report"]["types"]) + len(warm["report"]["fields"])
+        assert profiles[-1]["executor"] != "process"
+        assert profiles[-1]["wins"] == {"cache": elements}
+        assert record.sat_cache.cache_info()["hits"] - hits_before == elements
+
     def test_restart_reloads_registry(self, tmp_path, graph, expected):
         root = str(tmp_path / "persist")
         first = ServiceThread(registry_dir=root, port=0)
